@@ -1,42 +1,21 @@
-// Process-wide switches for the trial inner-loop fast paths.
+// Process-wide switch for the trial inner-loop fast path.
 //
-// Every toggle here is a pure optimisation: campaign traces are byte-for-byte
-// identical with any combination of settings, at any worker count
-// (test_trial_speed enforces this). Because results never depend on them,
-// these knobs are deliberately NOT part of any campaign config hash and have
-// no CLI flag — callers that want a slow reference run (benchmarks, the
-// equivalence tests) set them programmatically.
+// The toggle here is a pure optimisation: campaign traces are byte-for-byte
+// identical with it on or off, at any worker count (test_trial_speed
+// enforces this). Because results never depend on it, it is deliberately NOT
+// part of any campaign config hash and has no CLI flag — callers that want a
+// slow reference run (benchmarks, the equivalence tests) set it
+// programmatically.
 #pragma once
-
-#include <cstddef>
-#include <optional>
-
-#include "common/types.hpp"
 
 namespace restore::faultinject {
 
 struct TrialSpeedConfig {
-  // Memoize golden continuations (monitor-window trace + end state +
-  // convergence checkpoints) in a bounded LRU shared across shards and
-  // campaigns, keyed by (core config, workload, injection cycle, window).
-  bool continuation_cache = true;
-
-  // Reuse one persistent machine image per shard, restored in place from the
-  // injection-point snapshot, instead of constructing/destroying a fresh
-  // copy for every trial.
-  bool trial_arena = true;
-
   // End a trial early once the faulty core is bit-identical to a golden
   // checkpoint at the same cycle offset; the rest of the record is derived
   // from golden data. Automatically disabled for budget-limited trials,
   // whose abort behaviour depends on executing the real cycles.
   bool convergence_shortcut = true;
-
-  // Max continuations retained across all cache shards. Each continuation
-  // holds ~40 checkpoint snapshots (a few MB with shared COW pages); evicted
-  // entries are rebuilt on demand, so a tiny capacity costs time, never
-  // correctness.
-  std::size_t continuation_cache_capacity = 32;
 };
 
 // Current process-wide configuration (copy). Thread-safe.
@@ -45,40 +24,5 @@ TrialSpeedConfig trial_speed() noexcept;
 // Replace the process-wide configuration. Call between campaigns, not while
 // one is running: shards snapshot the config when they start.
 void set_trial_speed(const TrialSpeedConfig& config) noexcept;
-
-struct ContinuationCacheStats {
-  u64 hits = 0;
-  u64 misses = 0;
-  u64 evictions = 0;
-};
-
-// Observability for the golden-continuation cache (defined next to the cache
-// in uarch_campaign.cpp).
-ContinuationCacheStats continuation_cache_stats() noexcept;
-void clear_continuation_cache() noexcept;
-
-// Reusable per-shard trial image: `reset_to` copy-assigns the injection-point
-// snapshot into one persistent machine instead of constructing and destroying
-// a fresh copy per trial, so heap blocks (page tables, output buffers, replay
-// hints) are recycled across the shard's trials. Copy-assignment and
-// copy-construction produce equal values by definition, so trial results are
-// unchanged.
-template <typename MachineT>
-class TrialArena {
- public:
-  MachineT& reset_to(const MachineT& source) {
-    if (image_.has_value()) {
-      *image_ = source;
-    } else {
-      image_.emplace(source);
-    }
-    return *image_;
-  }
-
-  void clear() noexcept { image_.reset(); }
-
- private:
-  std::optional<MachineT> image_;
-};
 
 }  // namespace restore::faultinject

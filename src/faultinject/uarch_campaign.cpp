@@ -1,12 +1,7 @@
 #include "faultinject/uarch_campaign.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <functional>
 #include <map>
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -99,8 +94,7 @@ u64 effective_page_cap(const ResourceBudget& budget) {
   return cap;
 }
 
-// Runs one trial. `faulty` must be a fresh copy of the injection-point core
-// (callers either construct it or restore a per-shard arena image in place);
+// Runs one trial. `faulty` must be a fresh copy of the injection-point core;
 // run_trial flips every bit of the plan and monitors from there. A transient
 // (SET) plan additionally reverts, after the first monitored cycle, every
 // planned bit whose latch still holds the flipped value: the glitched
@@ -347,10 +341,8 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
   return record;
 }
 
-// Clean-run cycle counts are cached across campaigns (the figure binaries
-// re-run campaigns over the same workloads). Keyed by (workload, config) —
-// timing knobs change the cycle count — and mutex-guarded so concurrent
-// campaigns cannot race the insert.
+// Timing knobs change a workload's clean run, so golden timelines are keyed
+// by (workload, core config).
 std::string core_config_key(const uarch::CoreConfig& c) {
   std::ostringstream key;
   key << c.alu_latency << ',' << c.mul_latency << ',' << c.div_latency << ','
@@ -363,124 +355,58 @@ std::string core_config_key(const uarch::CoreConfig& c) {
   return key.str();
 }
 
-struct CycleCountStore {
+GoldenTimeline build_timeline(const workloads::Workload& wl,
+                              const uarch::CoreConfig& config) {
+  constexpr u64 kMaxCleanCycles = 100'000'000;
+  GoldenTimeline timeline;
+  Core core(wl.program, config);
+  while (core.running() && core.cycle_count() < kMaxCleanCycles) {
+    core.cycle();
+    if (core.running() && core.cycle_count() % kLadderStride == 0) {
+      timeline.ladder.push_back(core);
+    }
+  }
+  timeline.total_cycles = core.cycle_count();
+  return timeline;
+}
+
+// Timelines are shared across shards and campaigns for the life of the
+// process (the figure binaries re-run campaigns over the same workloads).
+// std::map never moves its nodes and entries are never erased, so a
+// returned reference stays valid.
+struct TimelineStore {
   Mutex mutex;
-  std::map<std::pair<std::string, std::string>, u64> cache
+  std::map<std::pair<std::string, std::string>, GoldenTimeline> timelines
       RESTORE_GUARDED_BY(mutex);
 };
 
-u64 clean_cycle_count(const workloads::Workload& wl,
-                      const uarch::CoreConfig& config) {
-  static CycleCountStore store;
-  const auto key = std::make_pair(wl.name, core_config_key(config));
-  {
-    MutexLock lock(store.mutex);
-    const auto it = store.cache.find(key);
-    if (it != store.cache.end()) return it->second;
-  }
-  Core probe(wl.program, config);
-  probe.run(100'000'000);
-  const u64 cycles = probe.cycle_count();
-  MutexLock lock(store.mutex);
-  return store.cache.emplace(key, cycles).first->second;
-}
-
-// Bounded, mutex-sharded LRU of golden continuations, shared across shards
-// and campaigns. A continuation is a pure function of its key — (core
-// config, workload, injection cycle, monitor window, checkpoint flag) — so a
-// cache hit is transparent; a miss is built OUTSIDE the shard lock (two
-// threads may briefly build the same continuation; both builds are
-// deterministic and identical, and the first insert wins).
-class ContinuationCache {
- public:
-  using Value = std::shared_ptr<const GoldenContinuation>;
-
-  Value get_or_build(const std::string& key, std::size_t capacity,
-                     const std::function<Value()>& build) {
-    Shard& shard = shards_[shard_index(key)];
-    {
-      MutexLock lock(shard.mutex);
-      for (auto& entry : shard.entries) {
-        if (entry.key == key) {
-          entry.tick = ++shard.tick;
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          return entry.value;
-        }
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    Value built = build();
-    const std::size_t per_shard = std::max<std::size_t>(1, capacity / kShards);
-    MutexLock lock(shard.mutex);
-    for (auto& entry : shard.entries) {
-      if (entry.key == key) {  // raced: share the winner's continuation
-        entry.tick = ++shard.tick;
-        return entry.value;
-      }
-    }
-    while (shard.entries.size() >= per_shard) {
-      std::size_t oldest = 0;
-      for (std::size_t i = 1; i < shard.entries.size(); ++i) {
-        if (shard.entries[i].tick < shard.entries[oldest].tick) oldest = i;
-      }
-      shard.entries.erase(shard.entries.begin() +
-                          static_cast<std::ptrdiff_t>(oldest));
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard.entries.push_back({key, built, ++shard.tick});
-    return built;
-  }
-
-  ContinuationCacheStats stats() const noexcept {
-    return {hits_.load(std::memory_order_relaxed),
-            misses_.load(std::memory_order_relaxed),
-            evictions_.load(std::memory_order_relaxed)};
-  }
-
-  void clear() noexcept {
-    for (auto& shard : shards_) {
-      MutexLock lock(shard.mutex);
-      shard.entries.clear();
-      shard.tick = 0;
-    }
-  }
-
- private:
-  static constexpr std::size_t kShards = 8;
-
-  struct Entry {
-    std::string key;
-    Value value;
-    u64 tick = 0;
-  };
-  struct Shard {
-    Mutex mutex;
-    std::vector<Entry> entries RESTORE_GUARDED_BY(mutex);
-    u64 tick RESTORE_GUARDED_BY(mutex) = 0;
-  };
-
-  static std::size_t shard_index(const std::string& key) noexcept {
-    return static_cast<std::size_t>(fnv1a(key)) % kShards;
-  }
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<u64> hits_{0};
-  std::atomic<u64> misses_{0};
-  std::atomic<u64> evictions_{0};
-};
-
-ContinuationCache& continuation_cache() {
-  static ContinuationCache cache;
-  return cache;
-}
-
 }  // namespace
 
-ContinuationCacheStats continuation_cache_stats() noexcept {
-  return continuation_cache().stats();
+const GoldenTimeline& golden_timeline(const workloads::Workload& wl,
+                                      const uarch::CoreConfig& config) {
+  static TimelineStore store;
+  auto key = std::make_pair(wl.name, core_config_key(config));
+  {
+    MutexLock lock(store.mutex);
+    const auto it = store.timelines.find(key);
+    if (it != store.timelines.end()) return it->second;
+  }
+  // Built outside the lock: two threads may build the same timeline, both
+  // builds are identical, and the first insert wins.
+  GoldenTimeline built = build_timeline(wl, config);
+  MutexLock lock(store.mutex);
+  return store.timelines.try_emplace(std::move(key), std::move(built))
+      .first->second;
 }
 
-void clear_continuation_cache() noexcept { continuation_cache().clear(); }
+void advance_golden(const GoldenTimeline& timeline, Core& golden, u64 cycle) {
+  const u64 rung = cycle / kLadderStride;
+  if (rung > 0 && rung <= timeline.ladder.size() &&
+      timeline.ladder[rung - 1].cycle_count() > golden.cycle_count()) {
+    golden = timeline.ladder[rung - 1];
+  }
+  while (golden.running() && golden.cycle_count() < cycle) golden.cycle();
+}
 
 UarchTrialRecord run_uarch_trial(const Core& golden_at_point,
                                  const uarch::BitRef& bit, u64 monitor_cycles,
@@ -526,13 +452,13 @@ UarchTrialRecord aborted_uarch_record(const uarch::BitRef& bit,
 // One shard: a contiguous trial range of one workload, grouped into
 // injection points of `trials_per_point` trials. The shard samples its
 // injection cycles and bits from its own RNG stream, advances its own golden
-// core through the sorted points (snapshotting each — a cheap COW fork) and
-// runs the point's trials against the shared continuation. Shards are
-// independent, so the campaign parallelizes across shards with no
-// cross-shard state at all.
+// core through the sorted points by forking from the workload's read-only
+// golden timeline, and runs each point's trials against that point's golden
+// continuation. Shards share nothing mutable, so the campaign parallelizes
+// across shards.
 std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
                                               const ShardSpec& shard,
-                                              u64 total_cycles) {
+                                              const GoldenTimeline& timeline) {
   const StateRegistry& reg = StateRegistry::instance();
   const workloads::Workload& wl = workloads::by_name(shard.workload);
   Rng rng(shard.seed);
@@ -544,8 +470,8 @@ std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
   // core can be advanced incrementally within the shard.
   std::vector<u64> cycles;
   cycles.reserve(points);
-  const u64 lo = total_cycles / 20;
-  const u64 hi = std::max(lo + 1, total_cycles * 17 / 20);
+  const u64 lo = timeline.total_cycles / 20;
+  const u64 hi = std::max(lo + 1, timeline.total_cycles * 17 / 20);
   for (u64 p = 0; p < points; ++p) cycles.push_back(rng.range(lo, hi));
   std::sort(cycles.begin(), cycles.end());
 
@@ -582,47 +508,26 @@ std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
     }
   }
 
-  // Trial-speed fast paths are snapshotted once per shard; all of them keep
-  // the produced records byte-identical (see trial_speed.hpp).
-  const TrialSpeedConfig speed = trial_speed();
+  // The convergence shortcut is read once per shard; it keeps the produced
+  // records byte-identical (see trial_speed.hpp).
   const bool with_checkpoints =
-      speed.convergence_shortcut && config.trial_budget.unlimited();
+      trial_speed().convergence_shortcut && config.trial_budget.unlimited();
 
   std::vector<UarchTrialRecord> records;
   records.reserve(shard.trial_count);
   Core golden(wl.program, config.core_config);
-  TrialArena<Core> arena;
   for (u64 p = 0; p < points; ++p) {
-    while (golden.running() && golden.cycle_count() < cycles[p]) golden.cycle();
+    advance_golden(timeline, golden, cycles[p]);
     if (!golden.running()) break;  // sampled past program end; drop the tail
-    const Core at_point = golden;
-
-    // The continuation is a pure function of this key, so it is shared
-    // across every bit of this point, across shards that sampled the same
-    // cycle, and across repeated campaigns in one process.
-    std::shared_ptr<const GoldenContinuation> shared;
-    std::optional<GoldenContinuation> local;
-    if (speed.continuation_cache) {
-      std::ostringstream key;
-      key << core_config_key(config.core_config) << ';' << wl.name << ';'
-          << at_point.cycle_count() << ';' << config.monitor_cycles << ';'
-          << (with_checkpoints ? 1 : 0);
-      shared = continuation_cache().get_or_build(
-          key.str(), speed.continuation_cache_capacity, [&] {
-            // simlint: allow(PERF-ALLOC) -- built once per cache miss, amortised across the point's trials
-            return std::make_shared<const GoldenContinuation>(
-                at_point, config.monitor_cycles, with_checkpoints);
-          });
-    } else {
-      local.emplace(at_point, config.monitor_cycles, with_checkpoints);
-    }
-    const GoldenContinuation& continuation = shared ? *shared : *local;
+    // The golden core stays put while this point's trials run.
+    const Core& at_point = golden;
+    const GoldenContinuation continuation(at_point, config.monitor_cycles,
+                                          with_checkpoints);
 
     for (const auto& plan : plans[p]) {
       UarchTrialRecord record;
       const auto abort = contain_trial([&] {
-        if (!speed.trial_arena) arena.clear();
-        Core& faulty = arena.reset_to(at_point);
+        Core faulty = at_point;
         record = run_trial(faulty, continuation, plan, config.monitor_cycles,
                            config.catchup_cycles, config.trial_budget);
       });
@@ -644,13 +549,13 @@ std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
 
 }  // namespace
 
-// Public shard entry point: probes the workload's clean cycle count itself
-// (cached process-wide), then delegates to the planner-driven shard body.
+// Public shard entry point: fetches (or builds) the workload's golden
+// timeline, then delegates to the planner-driven shard body.
 std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
                                               const ShardSpec& shard) {
-  return run_uarch_shard(config, shard,
-                         clean_cycle_count(workloads::by_name(shard.workload),
-                                           config.core_config));
+  return run_uarch_shard(
+      config, shard,
+      golden_timeline(workloads::by_name(shard.workload), config.core_config));
 }
 
 u64 config_hash(const UarchCampaignConfig& config) {
@@ -691,13 +596,17 @@ UarchCampaignResult run_uarch_campaign(const UarchCampaignConfig& config,
     names = config.workloads;
   }
 
-  // Warm the clean-run cycle cache serially: every shard of a workload needs
-  // its total cycle count, and probing it once up front keeps concurrent
-  // shards from racing to run the same probe.
-  std::map<std::string, u64> total_cycles;
-  for (const auto& name : names) {
-    total_cycles[name] = clean_cycle_count(workloads::by_name(name),
-                                           config.core_config);
+  // Build every workload's golden timeline up front, one workload per task:
+  // all shards of a workload read it, and building it before dispatch keeps
+  // them from racing to build the same one.
+  {
+    ThreadPool pool(options.workers);
+    pool.parallel_for(
+        names.size(),
+        [&](std::size_t i) {
+          golden_timeline(workloads::by_name(names[i]), config.core_config);
+        },
+        /*chunk_size=*/1);
   }
 
   const auto shards = plan_shards(config.seed, names, config.trials_per_workload,
@@ -712,8 +621,8 @@ UarchCampaignResult run_uarch_campaign(const UarchCampaignConfig& config,
 
   result.trials = run_sharded_campaign<UarchTrialRecord>(
       shards, std::move(identity), options,
-      [&config, &total_cycles](const ShardSpec& shard) {
-        return run_uarch_shard(config, shard, total_cycles.at(shard.workload));
+      [&config](const ShardSpec& shard) {
+        return run_uarch_shard(config, shard);
       },
       uarch_trial_to_jsonl, uarch_trial_from_jsonl,
       [](const UarchTrialRecord& trial) {

@@ -56,9 +56,8 @@ struct UarchCampaignConfig {
   FaultModelConfig fault_model;
   // Worker threads for trial execution (0 = run inline). Results are
   // deterministic regardless: bits are pre-sampled sequentially, trials are
-  // independent and write pre-assigned result slots. Trial fan-out is
-  // pipelined: workers run trials for earlier injection points while the
-  // main thread advances the golden core to later ones.
+  // independent and write pre-assigned result slots. The same workers build
+  // the workloads' golden timelines before any shard starts.
   std::size_t workers = 0;
 };
 
@@ -132,9 +131,37 @@ UarchCampaignResult run_uarch_campaign(const UarchCampaignConfig& config,
 // Run one planned shard (exposed for tests and custom supervisors). Every
 // trial body executes inside the containment boundary, so each record has a
 // classified outcome even when the corrupted machine drives the simulator
-// into a throw or past its resource budget.
+// into a throw or past its resource budget. Builds the workload's golden
+// timeline on first use.
 std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
                                               const ShardSpec& shard);
+
+// Cycles between two rungs of a golden timeline's snapshot ladder.
+inline constexpr u64 kLadderStride = 1024;
+
+// One clean run of a workload under one core config: its length and a
+// snapshot of the clean core every kLadderStride cycles. Shards fork their
+// golden core from the ladder instead of re-advancing it from cycle 0; a
+// Core copy is exact, so a fork behaves bit-identically to the core it was
+// taken from.
+struct GoldenTimeline {
+  u64 total_cycles = 0;
+  // ladder[i] is the clean core after (i + 1) * kLadderStride cycles. Only
+  // cycles at which the core was still running have a rung.
+  std::vector<uarch::Core> ladder;
+};
+
+// The process-wide timeline of (workload, config), built on first use
+// outside the store lock and kept for the life of the process (the
+// reference stays valid).
+const GoldenTimeline& golden_timeline(const workloads::Workload& wl,
+                                      const uarch::CoreConfig& config);
+
+// Advance the clean core `golden` to `cycle` (or to program end): jump to
+// the last rung at or before `cycle` when that rung is ahead of `golden`,
+// then step the remaining cycles.
+void advance_golden(const GoldenTimeline& timeline, uarch::Core& golden,
+                    u64 cycle);
 
 // Single trial against a pre-warmed golden core (exposed for tests).
 // `golden_at_point` must be running. `trial_budget` limits are relative to

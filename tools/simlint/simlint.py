@@ -569,10 +569,9 @@ def check_iter(files: list[SourceFile], cfg: dict) -> list[Finding]:
 
 # The trial inner loop (run_trial and everything it calls per cycle) executes
 # once per injected bit; a campaign runs it ~10^5-10^6 times. A single naked
-# heap allocation there dominates the profile, which is exactly what the
-# TrialArena / ContinuationCache work removed. These rules only apply to the
+# heap allocation there dominates the profile. These rules only apply to the
 # files declared in perf.hot_paths; genuinely cold allocations inside them
-# (one-time statics, per-cache-miss builds) carry allow() ledger entries.
+# (one-time statics, copy-on-write clones) carry allow() ledger entries.
 PERF_PATTERNS: list[tuple[re.Pattern, str]] = [
     (
         re.compile(r"(?<![\w:.])new\s+[\w:(]"),
@@ -582,7 +581,7 @@ PERF_PATTERNS: list[tuple[re.Pattern, str]] = [
     (
         re.compile(r"\bstd::make_(?:unique|shared)\s*<"),
         "make_unique/make_shared in a trial hot path heap-allocates per "
-        "call; amortise it (continuation cache, arena) or add an allow() "
+        "call; hoist it out of the per-trial path or add an allow() "
         "entry explaining why the site is cold",
     ),
     (
